@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use scioto_det::pages::ZeroedBytes;
 use scioto_det::sync::Mutex;
 
 use scioto_sim::{Ctx, RemoteOpKind, TraceEvent, VLock};
@@ -11,10 +12,13 @@ use crate::world::Armci;
 
 /// One collectively allocated region: `bytes` bytes on *every* rank.
 pub(crate) struct Segment {
-    /// Per-rank backing store. The mutex serializes raw accesses (an
-    /// accumulate must be atomic with respect to other accumulates, as in
-    /// ARMCI); in virtual-time mode it is never contended.
-    pub(crate) data: Vec<Mutex<Vec<u8>>>,
+    /// Per-rank backing store: one page-aligned part per rank of a single
+    /// mapping that commits memory as it is written (small segments stay
+    /// on the heap; see `scioto_det::pages`). The mutex serializes raw
+    /// accesses (an accumulate must be atomic with respect to other
+    /// accumulates, as in ARMCI); in virtual-time mode it is never
+    /// contended.
+    pub(crate) data: Vec<Mutex<ZeroedBytes>>,
     /// Per-word RMW service queues: the target adapter processes atomic
     /// RMWs on one location serially (`LatencyModel::rmw_service` each),
     /// so a hot word — a shared counter — has bounded throughput.
@@ -68,7 +72,10 @@ impl Armci {
         let n = self.nranks;
         let handle = ctx.collective(|| {
             let seg = Arc::new(Segment {
-                data: (0..n).map(|_| Mutex::new(vec![0u8; bytes])).collect(),
+                data: ZeroedBytes::parts(n, bytes)
+                    .into_iter()
+                    .map(Mutex::new)
+                    .collect(),
                 hot_words: Mutex::new(HashMap::new()),
             });
             let mut segs = self.segments.write();
@@ -428,5 +435,99 @@ mod tests {
             b[0]
         });
         assert_eq!(out.results, vec![2, 2, 2]);
+    }
+
+    #[test]
+    fn zero_byte_segment_is_valid_and_empty() {
+        let out = Machine::run(MachineConfig::virtual_time(2), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 0);
+            armci.put(ctx, g, 1 - ctx.rank(), 0, &[]);
+            (g.is_empty(), armci.with_local(ctx, g, |b| b.len()))
+        });
+        assert_eq!(out.results, vec![(true, 0), (true, 0)]);
+    }
+
+    /// Every one-sided op round-trips on both backings: heap segments
+    /// (below the mapping threshold) and mapped ones (at and above it).
+    #[test]
+    fn ops_round_trip_on_heap_and_mapped_segments() {
+        use scioto_det::pages::MAP_THRESHOLD;
+        for bytes in [16, MAP_THRESHOLD - 8, MAP_THRESHOLD, 4 * MAP_THRESHOLD] {
+            let out = Machine::run(MachineConfig::virtual_time(3), move |ctx| {
+                let armci = Armci::init(ctx);
+                let g = armci.malloc(ctx, bytes);
+                let me = ctx.rank();
+                let last = bytes - 8;
+                let untouched = armci.read_i64(ctx, g, (me + 1) % 3, last);
+                armci.barrier(ctx);
+                // Rank r owns word 0 on rank r's right neighbour; every
+                // rank accumulates into the last word of rank 0.
+                armci.put(ctx, g, (me + 1) % 3, 0, &(me as i64 + 10).to_le_bytes());
+                armci.acc_i64(ctx, g, 0, last, 2, &[me as i64 + 1]);
+                let before = armci.fetch_add_i64(ctx, g, 2, last, 1);
+                armci.barrier(ctx);
+                let mut word = [0u8; 8];
+                armci.get(ctx, g, me, 0, &mut word);
+                (
+                    untouched,
+                    i64::from_le_bytes(word),
+                    before,
+                    armci.read_i64(ctx, g, 0, last),
+                )
+            });
+            for (me, &(untouched, word, before, acc)) in out.results.iter().enumerate() {
+                assert_eq!(untouched, 0, "{bytes} B: fresh memory must read 0");
+                assert_eq!(word, (me as i64 + 2) % 3 + 10, "{bytes} B: put/get");
+                assert!(
+                    (0..3).contains(&before),
+                    "{bytes} B: fetch_add saw {before}"
+                );
+                assert_eq!(acc, 2 * (1 + 2 + 3), "{bytes} B: acc_i64");
+            }
+        }
+    }
+
+    /// A mapped segment costs resident memory only where it is written:
+    /// 256 ranks x 64 MiB reserves 16 GiB, and two words per rank commit
+    /// two pages per rank.
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    #[test]
+    fn mapped_segment_residency_is_proportional_to_use() {
+        const P: usize = 256;
+        const BYTES: usize = 64 << 20;
+        let out = Machine::run(MachineConfig::virtual_time(P), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, BYTES);
+            let me = ctx.rank();
+            armci.put(ctx, g, me, 0, &[1u8; 8]);
+            armci.put(ctx, g, me, BYTES - 8, &[2u8; 8]);
+            armci.barrier(ctx);
+            let resident = armci.segment(g).data[me].lock().resident_pages();
+            // Reads below may map the shared zero page, which mincore
+            // counts: every rank samples its residency first.
+            armci.barrier(ctx);
+            let mut mid = [0xffu8; 64];
+            armci.get(ctx, g, (me + 1) % P, BYTES / 2, &mut mid);
+            let mut ends = [0u8; 16];
+            armci.get(ctx, g, (me + 1) % P, 0, &mut ends[..8]);
+            armci.get(ctx, g, (me + 1) % P, BYTES - 8, &mut ends[8..]);
+            (resident, mid, ends)
+        });
+        for (r, (resident, mid, ends)) in out.results.iter().enumerate() {
+            assert!(
+                matches!(resident, Some(1..=2)),
+                "rank {r}: {resident:?} resident pages for two written words"
+            );
+            assert!(
+                mid.iter().all(|&b| b == 0),
+                "rank {r}: untouched bytes must read 0"
+            );
+            assert_eq!(ends[..8], [1; 8]);
+            assert_eq!(ends[8..], [2; 8]);
+        }
     }
 }

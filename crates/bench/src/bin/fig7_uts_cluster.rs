@@ -72,7 +72,7 @@ fn scioto_rate(
     queue: scioto::QueueKind,
     policy: PolicyFlags,
     sim: SimOpts,
-) -> (f64, u64) {
+) -> (f64, u64, u64) {
     let out = Machine::run(machine(p, policy, sim), move |ctx| {
         let cfg = SciotoUtsConfig {
             queue,
@@ -86,7 +86,11 @@ fn scioto_rate(
         total.merge(tree);
         startup_ns += stats.startup_ns;
     }
-    (rate(total.nodes, out.report.makespan_ns), startup_ns)
+    (
+        rate(total.nodes, out.report.makespan_ns),
+        startup_ns,
+        out.report.stack_hwm_bytes,
+    )
 }
 
 fn mpi_rate(p: usize, params: TreeParams, policy: PolicyFlags, sim: SimOpts) -> f64 {
@@ -191,9 +195,10 @@ fn main() {
             continue;
         }
         eprintln!("running P = {p} ...");
-        let (split, startup_ns) = scioto_rate(p, params, scioto::QueueKind::Split, policy, sim);
+        let (split, startup_ns, stack_hwm) =
+            scioto_rate(p, params, scioto::QueueKind::Split, policy, sim);
         let mpi = mpi_rate(p, params, policy, sim);
-        let (nosplit, _) = scioto_rate(p, params, scioto::QueueKind::Locked, policy, sim);
+        let (nosplit, _, _) = scioto_rate(p, params, scioto::QueueKind::Locked, policy, sim);
         bench.metric(&format!("split_mnodes_p{p:03}"), split);
         bench.metric(&format!("mpi_ws_mnodes_p{p:03}"), mpi);
         bench.metric(&format!("nosplit_mnodes_p{p:03}"), nosplit);
@@ -202,6 +207,9 @@ fn main() {
         // metric only under the coalesced default: old-startup runs must
         // diff cleanly against pre-coalescing baselines, which lack it.
         eprintln!("  split startup: {startup_ns} rank-ns aggregate");
+        // Host measurement (deepest fiber stack of the split run), kept
+        // out of the bench JSON so the pinned baselines stay exact.
+        eprintln!("  split fiber-stack high-water: {stack_hwm} bytes");
         if sim.startup == StartupMode::Coalesced {
             bench.metric(&format!("split_startup_ns_p{p:03}"), startup_ns as f64);
         }

@@ -23,8 +23,14 @@
 //! the concurrent (real-thread) execution mode needs real timestamps,
 //! and [`clock::MonoClock`] is the single sanctioned wall-clock source —
 //! see the `wallclock` lint in `scioto-race`.
+//!
+//! A fourth, [`pages`], supplies [`pages::ZeroedBytes`]: zero-filled
+//! buffers that the kernel commits page by page on first touch, used for
+//! the per-rank memory that grows with the rank count (ARMCI segments,
+//! fiber stacks).
 
 pub mod clock;
+pub mod pages;
 pub mod rng;
 pub mod sync;
 

@@ -22,8 +22,17 @@
 //!
 //! No std::sync, no wall clock, no allocation after construction: switching
 //! is pure register shuffling, so determinism is trivially preserved.
+//!
+//! Stacks come from [`ZeroedBytes::guarded_parts`]: on Linux one mapping
+//! holds every stack, the kernel commits a stack's pages only as the fiber
+//! grows into them, and an inaccessible guard page sits below each stack,
+//! so an overflow dies with SIGSEGV instead of overwriting a neighbour.
+//! The pages a stack ever touched stay resident, which makes
+//! [`FiberSet::stack_hwm_bytes`] a free high-water mark.
 
 use std::cell::{Cell, RefCell};
+
+use scioto_det::pages::{self, ZeroedBytes};
 
 /// True when this target has a fiber context-switch implementation.
 /// [`crate::Engine::Auto`] falls back to the thread engine elsewhere.
@@ -128,10 +137,9 @@ const ENTRY_SLOT: usize = 88 / 8;
 struct Fiber {
     /// Saved stack pointer while suspended; points into `stack`.
     sp: Cell<usize>,
-    /// The heap stack. Boxed so it never moves; `sp` and every frame on it
-    /// stay valid for the life of the fiber.
-    #[allow(dead_code)]
-    stack: Box<[u8]>,
+    /// The stack. Its bytes never move, so `sp` and every frame on it stay
+    /// valid for the life of the fiber.
+    stack: ZeroedBytes,
     /// The rank program, consumed on first dispatch.
     task: RefCell<Option<Box<dyn FnOnce()>>>,
     started: Cell<bool>,
@@ -157,22 +165,22 @@ pub(crate) struct FiberSet {
 }
 
 impl FiberSet {
-    /// Build `n` fibers, each with a `stack_size`-byte stack primed to run
-    /// [`fiber_entry`] on first switch.
+    /// Build `n` fibers, each with a `stack_size`-byte stack (rounded up
+    /// to whole pages) primed to run [`fiber_entry`] on first switch.
     pub(crate) fn new(n: usize, stack_size: usize) -> FiberSet {
         assert!(SUPPORTED, "fiber engine unavailable on this target");
         // Room for the bootstrap frame, a panic payload and libstd's
         // unwinding machinery even if the caller asks for something tiny.
         let stack_size = stack_size.max(32 * 1024);
-        let fibers = (0..n)
-            .map(|_| {
-                let mut stack = vec![0u8; stack_size].into_boxed_slice();
+        let fibers = ZeroedBytes::guarded_parts(n, stack_size)
+            .into_iter()
+            .map(|mut stack| {
                 let base = stack.as_mut_ptr() as usize;
                 // 16-align the top, then lay the bootstrap frame under it.
                 let top = (base + stack.len()) & !15;
                 let frame = top - BOOT_SLOTS * 8;
-                // SAFETY: `frame..top` lies inside the freshly boxed
-                // stack and is 8-aligned, so the BOOT_SLOTS usize writes
+                // SAFETY: `frame..top` lies inside the fresh stack and
+                // is 8-aligned, so the BOOT_SLOTS usize writes
                 // stay in bounds of memory this Fiber uniquely owns.
                 unsafe {
                     let slots = frame as *mut usize;
@@ -253,6 +261,18 @@ impl FiberSet {
         // the frame the main context parked in `enter`'s initial switch.
         unsafe { scioto_fiber_switch(self.fibers[prev].sp.as_ptr(), self.main_sp.get()) };
         self.current.set(Some(prev));
+    }
+
+    /// Deepest stack use over all fibers, in bytes of stack pages ever
+    /// touched (one `mincore` call per stack). 0 where stacks are heap
+    /// buffers, whose residency says nothing about use.
+    pub(crate) fn stack_hwm_bytes(&self) -> u64 {
+        let page = pages::page_size() as u64;
+        self.fibers
+            .iter()
+            .filter_map(|f| f.stack.resident_pages())
+            .max()
+            .map_or(0, |p| p as u64 * page)
     }
 
     /// Lowest-index fiber that has started but not completed, if any —

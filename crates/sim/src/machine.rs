@@ -87,12 +87,13 @@ impl Machine {
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let panic_payload: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
 
-        match engine {
+        let stack_hwm_bytes = match engine {
             EngineKind::Threads => {
-                run_threads(&cfg, &kernel, &shared, &f, &results, &panic_payload)
+                run_threads(&cfg, &kernel, &shared, &f, &results, &panic_payload);
+                0
             }
             EngineKind::Events => run_events(&cfg, &kernel, &shared, &f, &results, &panic_payload),
-        }
+        };
 
         if let Some(p) = panic_payload.lock().take() {
             resume_unwind(p);
@@ -121,6 +122,7 @@ impl Machine {
             rank_clock_ns,
             events: kernel.events.snapshot(),
             trace,
+            stack_hwm_bytes,
         };
         let results = results
             .into_iter()
@@ -201,7 +203,8 @@ fn run_threads<R, F>(
 /// The event engine: one fiber per rank on this thread, dispatched from
 /// the kernel's min-clock heap. Scheduling-point semantics are identical
 /// to the thread engine (same transitions, same dispatch order), so
-/// same-seed runs produce byte-identical reports and traces.
+/// same-seed runs produce byte-identical reports and traces. Returns the
+/// fiber-stack high-water mark.
 fn run_events<R, F>(
     cfg: &MachineConfig,
     kernel: &Arc<Kernel>,
@@ -209,7 +212,8 @@ fn run_events<R, F>(
     f: &F,
     results: &[Mutex<Option<R>>],
     panic_payload: &Mutex<Option<Box<dyn Any + Send>>>,
-) where
+) -> u64
+where
     R: Send,
     F: Fn(&Ctx) -> R + Send + Sync,
 {
@@ -263,6 +267,7 @@ fn run_events<R, F>(
             fs.switch_to_fiber(r);
         }
     });
+    fs.stack_hwm_bytes()
 }
 
 /// Keep the most informative panic: a first "real" panic wins over the

@@ -62,6 +62,12 @@ pub struct Report {
     /// Event trace and metrics, present when the machine ran with
     /// [`crate::TraceConfig::enabled`].
     pub trace: Option<Trace>,
+    /// Host-side fiber-stack high-water mark: the most stack any rank
+    /// touched, in bytes of resident stack pages. Measured on the event
+    /// engine on Linux; 0 on the thread engine and where fiber stacks are
+    /// heap buffers. A host measurement, not part of the model: it is
+    /// kept out of every pinned baseline.
+    pub stack_hwm_bytes: u64,
 }
 
 impl Report {
@@ -116,6 +122,7 @@ mod tests {
             rank_clock_ns: vec![1_000, 3_000],
             events: EventCounters::default().snapshot(),
             trace: None,
+            stack_hwm_bytes: 0,
         };
         assert!((r.makespan_secs() - 2.0).abs() < 1e-12);
         assert!((r.mean_rank_clock_ns() - 2_000.0).abs() < 1e-12);
@@ -131,6 +138,7 @@ mod tests {
             rank_clock_ns: clocks,
             events: EventCounters::default().snapshot(),
             trace: None,
+            stack_hwm_bytes: 0,
         };
         assert_eq!(mk(vec![]).imbalance(), 1.0);
         assert_eq!(mk(vec![0, 0]).imbalance(), 1.0);

@@ -18,7 +18,29 @@ for arg in "$@"; do
     esac
 done
 
-echo "== cargo tree: auditing for external dependencies =="
+# Per-stage timing: `stage <name>` closes the running stage with an
+# "ok: <name> in Ns" line and opens the next; `end_stages` closes the last
+# one and prints the total. A stage that fails exits before its line.
+verify_t0=$(date +%s)
+stage_name=""
+stage_t0=$verify_t0
+end_stage() {
+    if [ -n "$stage_name" ]; then
+        echo "ok: $stage_name in $(($(date +%s) - stage_t0))s"
+    fi
+}
+stage() {
+    end_stage
+    stage_name=$1
+    stage_t0=$(date +%s)
+    echo "== $1 =="
+}
+end_stages() {
+    end_stage
+    echo "verify.sh: total $(($(date +%s) - verify_t0))s"
+}
+
+stage "cargo tree: auditing for external dependencies"
 # Every node in the default-feature dependency graph must be a local
 # workspace crate. `cargo tree` prints local path deps with a trailing
 # "(/abs/path)"; anything without one came from a registry.
@@ -33,15 +55,15 @@ if [ -n "$external" ]; then
 fi
 echo "ok: dependency graph is workspace-only"
 
-echo "== cargo build --release --offline =="
+stage "cargo build --release --offline"
 cargo build --release --offline
 
-echo "== cargo test -q --offline --workspace (tier-1) =="
+stage "cargo test -q --offline --workspace (tier-1)"
 # The root manifest is a package AND the workspace root; without
 # --workspace only the root cross-crate suite runs.
 cargo test -q --offline --workspace
 
-echo "== scioto-lint: source invariant scan (hard gate) =="
+stage "scioto-lint: source invariant scan (hard gate)"
 cargo run --release --offline -q -p scioto-race --bin scioto-lint
 
 # Fresh bench results are grouped by how they are gated: every BENCH file
@@ -61,7 +83,7 @@ diff_all() {
         --all "$1" --rel-tol "$2"
 }
 
-echo "== scioto-lint: waiver ratchet (counts may only shrink) =="
+stage "scioto-lint: waiver ratchet (counts may only shrink)"
 cargo run --release --offline -q -p scioto-race --bin scioto-lint -- --stats \
     > "$work/lint_waivers.txt"
 if [ "$BLESS" = 1 ]; then
@@ -84,13 +106,13 @@ else
     echo "ok: waiver ratchet holds"
 fi
 
-echo "== trace smoke: table1 --trace-out round-trips through trace_check =="
+stage "trace smoke: table1 --trace-out round-trips through trace_check"
 cargo run --release --offline -q -p scioto-bench --bin table1 -- \
     --trace-out "$work/table1_chrome.json" > /dev/null
 cargo run --release --offline -q -p scioto-bench --bin trace_check -- \
     --file "$work/table1_chrome.json" --ranks 2
 
-echo "== analyze: traced table1 -> blame/critical-path report =="
+stage "analyze: traced table1 -> blame/critical-path report"
 # One traced run emits the JSONL dump, the in-memory analysis, the race
 # verdict, the in-process replay self-check, and the machine-readable
 # benchmark result.
@@ -107,7 +129,7 @@ cargo run --release --offline -q -p scioto-bench --bin analyze -- \
 cmp "$work/table1_analysis.json" "$work/table1_analysis_offline.json"
 echo "ok: offline analyzer matches in-memory analysis"
 
-echo "== replay: recorded traces re-execute byte-identically (hard gate) =="
+stage "replay: recorded traces re-execute byte-identically (hard gate)"
 # The replay engine reconstructs the run from the trace alone — no
 # workload closure — and must reproduce the live analysis (blame
 # decomposition + critical path) byte for byte: table1 and fig7@8.
@@ -124,7 +146,7 @@ cargo run --release --offline -q -p scioto-bench --bin replay -- \
 cmp "$work/table1_analysis.json" "$work/table1_analysis_replay.json"
 echo "ok: table1 replay matches the live blame report byte-identically"
 
-echo "== bench runs: fig7 / fig4 / ablation / fig8 (new default policy) =="
+stage "bench runs: fig7 / fig4 / ablation / fig8 (new default policy)"
 # Every bin runs with `--race-check` and `--replay-check`: the traced run
 # replays through the happens-before checker AND the replay engine
 # in-process, so all six bins are race- and replay-gated under the new
@@ -146,7 +168,7 @@ cargo run --release --offline -q -p scioto-bench --bin fig8_uts_xt4 -- \
 cargo run --release --offline -q -p scioto-bench --bin fig5_fig6_apps -- \
     --max-ranks 1 --race-check --predict --deadlock --replay-check > /dev/null
 
-echo "== replay: fig7@8 recorded trace reproduces blame + critical path =="
+stage "replay: fig7@8 recorded trace reproduces blame + critical path"
 cargo run --release --offline -q -p scioto-bench --bin trace_check -- \
     --file "$work/fig7.jsonl" --replayable
 cargo run --release --offline -q -p scioto-bench --bin replay -- \
@@ -155,7 +177,7 @@ cargo run --release --offline -q -p scioto-bench --bin replay -- \
 cmp "$work/fig7_analysis.json" "$work/fig7_analysis_replay.json"
 echo "ok: fig7@8 replay matches the live blame report byte-identically"
 
-echo "== policy ablation: old knobs still reproduce the pinned baseline =="
+stage "policy ablation: old knobs still reproduce the pinned baseline"
 # The ablation baseline (uniform victims, flat barrier, per-slot TD) must
 # stay byte-identical: rel-tol 0 against its own pinned results file.
 cargo run --release --offline -q -p scioto-bench --bin fig7_uts_cluster -- \
@@ -172,7 +194,7 @@ cargo run --release --offline -q -p scioto-bench --bin bench_diff -- \
     --ignore-params victim,barrier,td_batch \
     --ignore-metrics 'split_startup_ns_*' --rel-tol 0.5
 
-echo "== startup ablation: --old-startup reproduces the historical schedule =="
+stage "startup ablation: --old-startup reproduces the historical schedule"
 # Coalesced startup collectives are the default; the historical
 # two-barriers-per-collective protocol stays selectable via
 # --old-startup and is pinned as its own deterministic baseline at
@@ -188,7 +210,7 @@ cargo run --release --offline -q -p scioto-bench --bin bench_diff -- \
     --new "$work/loose/BENCH_fig7.json" \
     --ignore-params startup --ignore-metrics 'split_startup_ns_*' --rel-tol 0.5
 
-echo "== engine equivalence: pinned baselines at rel-tol 0 under BOTH engines =="
+stage "engine equivalence: pinned baselines at rel-tol 0 under BOTH engines"
 # The virtual-time kernel has two execution substrates (parked threads,
 # event-driven fibers) behind one scheduler; the engine must never move a
 # result. Every committed baseline is re-derived under each engine
@@ -217,7 +239,7 @@ for eng in threads events; do
     echo "ok: all pinned baselines reproduce at rel-tol 0 on the $eng engine"
 done
 
-echo "== large-scale: 1024/2048-rank event-engine points, near/far tiers =="
+stage "large-scale: 1024/2048-rank event-engine points, near/far tiers"
 # Only the fiber engine can stand up 1024+ ranks on this host; the sweep
 # points use the topology-aware near/far latency preset and are pinned as
 # their own baselines (deterministic, so rel-tol 0).
@@ -241,7 +263,7 @@ cargo run --release --offline -q -p scioto-bench --bin fig7_uts_cluster -- \
     --json-out "$work/exact/BENCH_fig7_1024_nearfar_stealdist.json" > /dev/null
 echo "ok: 1024/2048-rank event-engine sweep points + steal-distance pin ran"
 
-echo "== autotune: 2-candidate smoke + fig7@64 closed loop (hard gate) =="
+stage "autotune: 2-candidate smoke + fig7@64 closed loop (hard gate)"
 # Smoke: record -> lower -> self-check -> replay-score 2 candidates at
 # 8 ranks; exercises the whole loop in well under a second.
 cargo run --release --offline -q -p scioto-bench --bin tune -- \
@@ -261,7 +283,7 @@ if [ "$BLESS" = 0 ]; then
     diff_all "$work/exact" 0
 fi
 
-echo "== race check: HB + predictive + deadlock on table1 + fig7 traces (hard gate) =="
+stage "race check: HB + predictive + deadlock on table1 + fig7 traces (hard gate)"
 # The standalone checker re-parses the exported JSONL dumps and must come
 # back clean on all three analyses; the canonical scioto-race-v1 report is
 # emitted and sanity-checked. Timed: the predictive pass may add at most
@@ -283,7 +305,7 @@ if [ "$race_secs" -ge 45 ]; then
     exit 1
 fi
 
-echo "== concurrent backend: wall-clock observability lane (hard gate) =="
+stage "concurrent backend: wall-clock observability lane (hard gate)"
 # Real free-running threads, two workloads: the seeded UTS small tree
 # (steal-heavy, gmem-access dominated) and the fig5-style SCF task pool
 # (compute-heavy). Each run measures the tracing overhead (printed and
@@ -331,17 +353,18 @@ if [ "$conc_secs" -ge 60 ]; then
 fi
 
 if [ "$BLESS" = 1 ]; then
-    echo "== bless: refreshing results/baselines/ =="
+    stage "bless: refreshing results/baselines/"
     mkdir -p results/baselines
     for f in "$work"/loose/BENCH_*.json "$work"/exact/BENCH_*.json; do
         cp "$f" "results/baselines/$(basename "$f")"
         echo "blessed results/baselines/$(basename "$f")"
     done
 else
-    echo "== bench_diff: default-policy runs vs committed baselines =="
+    stage "bench_diff: default-policy runs vs committed baselines"
     # Generous tolerance: the diff exists to catch real regressions from
     # code changes, and virtual-time results only move when the code does.
     diff_all "$work/loose" 0.5
 fi
 
+end_stages
 echo "verify.sh: all checks passed"
